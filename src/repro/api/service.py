@@ -33,7 +33,11 @@ documents are validated by :meth:`Scenario.from_json`, so a typo'd field is
 a 400, never a silently-defaulted query.
 
 **Connection discipline.**  The handler speaks HTTP/1.1 keep-alive, which
-makes request framing load-bearing: an error response may only reuse the
+makes request framing load-bearing.  Every response leaves in one write
+(status line, headers and body together) on a ``TCP_NODELAY`` socket: with
+the headers on a write of their own, Nagle's algorithm holds the body back
+until the client's delayed ACK of the headers, ~40 ms per keep-alive
+request.  An error response may only reuse the
 connection when the request body was consumed in full, so any response sent
 with unread body bytes still on the socket carries ``Connection: close``
 (the alternative — draining an arbitrarily large or lying ``Content-Length``
@@ -67,14 +71,16 @@ from __future__ import annotations
 import json
 import logging
 import os
+import select
 import signal
 import socket
+import stat
 import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.api.artefact_store import ArtefactStore
 from repro.api.results import SCHEMA_VERSION
@@ -136,7 +142,18 @@ DEFAULT_RESTART_BACKOFF = 1.0
 #: ``/stats`` probe) concurrent without letting a backlog form.
 WORKER_MAX_INFLIGHT = 2
 
+#: Seconds between a worker's background stats publications while it has
+#: finished requests since the last one (see ``ReproServer._publish_loop``).
+STATS_PUBLISH_INTERVAL = 0.25
+
+#: Seconds a ``/stats`` or ``/metrics`` scrape waits, in total, for the live
+#: siblings it woke to publish a snapshot newer than the scrape's start.
+SCRAPE_WAIT_SECONDS = 1.0
+
 _STATS_DIR_NAME = "stats"
+
+#: Suffix of a worker's wake channel (a FIFO) in the stats directory.
+_WAKE_SUFFIX = ".wake"
 
 #: Endpoints the per-endpoint HTTP metrics label by path; anything else is
 #: folded into "other" so scanners cannot inflate the label cardinality.
@@ -175,6 +192,10 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  Our own responses already
+    # leave in one write (see _send_body); this covers the stock
+    # send_error() paths, which still write the headers and the body apart.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------- plumbing
 
@@ -196,6 +217,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     def _begin_request(self) -> None:
         self._body_consumed = False
         self._connection_dead = False
+        self._observed = False
         self._status: Optional[int] = None
         self._request_started = time.perf_counter()
         # Honour a well-formed incoming trace ID, mint one otherwise; the
@@ -206,15 +228,27 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         )
         self.server.request_begun()
 
-    def _end_request(self) -> None:
-        elapsed = time.perf_counter() - self._request_started
+    def _observe(self) -> None:
+        """Count this request in the metrics, once.
+
+        Called just before the response is written (and at the end of a
+        request that never wrote one), so a client that has read the
+        response and then scrapes ``/metrics`` finds the request counted.
+        """
+        if self._observed:
+            return
+        self._observed = True
         self.server.observe_request(
             _endpoint_label(self.path), self.command,
-            self._status if self._status is not None else 0, elapsed,
+            self._status if self._status is not None else 0,
+            time.perf_counter() - self._request_started,
         )
+
+    def _end_request(self) -> None:
+        self._observe()
         obs_trace.end(self._trace_token)
         self.server.request_done()
-        self.server.publish_stats()
+        self.server.mark_stats_dirty()
 
     def _read_body(self) -> object:
         try:
@@ -269,8 +303,13 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                 # send_header("Connection", "close") also flips
                 # self.close_connection, ending the keep-alive loop.
                 self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            self._observe()
+            # end_headers() would flush the header block as a write of its
+            # own; instead the blank line and the body join the buffered
+            # headers and the whole response goes out in one write.
+            self._headers_buffer.append(b"\r\n")
+            self._headers_buffer.append(body)
+            self.flush_headers()
         except (ConnectionError, socket.timeout) as exc:
             # The client went away mid-response.  That is terminal for the
             # connection: never write again (a "second response" would go
@@ -405,10 +444,18 @@ class ReproServer(ThreadingHTTPServer):
 
     ``listening_socket`` adopts an already-bound socket instead of binding a
     new one — the pre-fork front binds once in the parent and every forked
-    worker accepts on its inherited copy.  ``worker_label``/``stats_dir``
-    wire the worker into the aggregated ``/stats`` view: after each request
-    the worker publishes its counter snapshot to ``stats_dir``, and any
-    worker answering ``/stats`` reads all of its siblings' snapshots back.
+    worker accepts on its inherited copy.  The adopted socket is made
+    non-blocking: when several workers wake for one connection, the losers'
+    ``accept()`` fails with ``BlockingIOError`` (which socketserver ignores)
+    instead of blocking until a later connection — or forever, since PEP 475
+    retries it after a shutdown signal.
+
+    ``worker_label``/``stats_dir`` wire the worker into the aggregated
+    ``/stats`` and ``/metrics`` views.  Requests only mark the worker dirty;
+    a publisher thread writes its counter snapshot to ``stats_dir`` (see
+    :meth:`_publish_loop`), and any worker answering a scrape reads every
+    sibling's snapshot back after asking the live ones for a fresh one (see
+    :meth:`_fresh_records`).
     """
 
     daemon_threads = True
@@ -427,6 +474,7 @@ class ReproServer(ThreadingHTTPServer):
         super().__init__(address, ReproRequestHandler, bind_and_activate=False)
         if listening_socket is not None:
             self.socket.close()
+            listening_socket.setblocking(False)
             self.socket = listening_socket
             host, port = listening_socket.getsockname()[:2]
             self.server_address = (host, port)
@@ -469,6 +517,20 @@ class ReproServer(ThreadingHTTPServer):
         self._active_requests = 0  # guarded by: _active_lock
         self._active_connections = 0  # guarded by: _active_lock
         self._active_lock = threading.Lock()
+        # Set by every finished request, cleared by each publication.  A
+        # plain flag on purpose: a lost race only delays the next snapshot
+        # by one publisher interval, and the request path takes no lock.
+        self._stats_dirty = False
+        self._publish_lock = threading.Lock()
+        self._publisher: Optional[threading.Thread] = None
+        self._publisher_stop = False
+        if stats_dir is not None and worker_label is not None:
+            self._wake_r, self._wake_w = self._open_wake_channel()
+            self._publisher = threading.Thread(
+                target=self._publish_loop, daemon=True,
+                name=f"stats-publisher-{worker_label}",
+            )
+            self._publisher.start()
 
     @property
     def ready(self) -> bool:
@@ -496,6 +558,9 @@ class ReproServer(ThreadingHTTPServer):
                                    False)):
                 time.sleep(0.005)
         request, client_address = super().get_request()
+        # Handlers expect a blocking connection; some platforms hand out
+        # accepted sockets with the listening socket's O_NONBLOCK.
+        request.setblocking(True)
         with self._active_lock:
             self._active_connections += 1
         return request, client_address
@@ -506,6 +571,19 @@ class ReproServer(ThreadingHTTPServer):
         finally:
             with self._active_lock:
                 self._active_connections -= 1
+
+    def server_close(self) -> None:
+        super().server_close()
+        if self._publisher is None:
+            return
+        self._publisher_stop = True
+        _poke(self._wake_w)
+        self._publisher.join()
+        self._publisher = None
+        for fd in {self._wake_r, self._wake_w}:
+            os.close(fd)
+        if self._stats_dirty:
+            self.publish_stats()
 
     # ------------------------------------------------------------- draining
 
@@ -544,18 +622,16 @@ class ReproServer(ThreadingHTTPServer):
         """The Prometheus text body for ``GET /metrics``.
 
         Single-process servers expose their own registry.  Pre-fork workers
-        publish their snapshot into the shared ``stats/`` directory on every
-        request, so any worker can render the whole front: each sibling's
-        series carries a ``worker`` label (summing over it gives the
-        front-wide aggregate, the way any Prometheus setup aggregates
-        instances).
+        publish their snapshots into the shared ``stats/`` directory, so any
+        worker can render the whole front: each sibling's series carries a
+        ``worker`` label (summing over it gives the front-wide aggregate,
+        the way any Prometheus setup aggregates instances).
         """
         self._refresh_gauges()
         if self.stats_dir is None:
             return self.metrics.exposition()
-        self.publish_stats()  # this worker's own snapshot must be fresh
         snapshots = []
-        for label, record in sorted(self._read_worker_records().items()):
+        for label, record in sorted(self._fresh_records().items()):
             snapshot = record.get("metrics")
             if isinstance(snapshot, dict):
                 snapshots.append((label, snapshot))
@@ -563,28 +639,129 @@ class ReproServer(ThreadingHTTPServer):
 
     # ------------------------------------------------- per-worker statistics
 
+    def mark_stats_dirty(self) -> None:
+        """Note that a request finished since the last publication."""
+        self._stats_dirty = True
+
     def publish_stats(self) -> None:
-        """Write this worker's labelled counter snapshot for aggregation."""
+        """Write this worker's labelled counter snapshot for aggregation.
+
+        The one function that publishes: the publisher thread, scrapes and
+        ``server_close`` all come through here.  ``updated`` is read before
+        the counters, so a record whose ``updated`` is later than a moment
+        counts every request that finished before that moment.
+        """
         if self.stats_dir is None or self.worker_label is None:
             return
-        self._refresh_gauges()
-        record = {
-            "worker": self.worker_label,
-            "pid": os.getpid(),
-            "updated": time.time(),
-            "cache": self.session.stats().to_json(),
-            "metrics": self.metrics.snapshot(),
-        }
-        path = Path(self.stats_dir) / f"{self.worker_label}.json"
-        tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(record, sort_keys=True))
-            os.replace(str(tmp), str(path))
-        except OSError:  # stats are best-effort; serving must not care
+        with self._publish_lock:
+            # Cleared before the snapshot: a request finishing during the
+            # write marks the worker dirty again for the next publication.
+            self._stats_dirty = False
+            updated = time.time()
+            self._refresh_gauges()
+            record = {
+                "worker": self.worker_label,
+                "pid": os.getpid(),
+                "updated": updated,
+                "cache": self.session.stats().to_json(),
+                "metrics": self.metrics.snapshot(),
+            }
+            path = Path(self.stats_dir) / f"{self.worker_label}.json"
+            tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
             try:
-                tmp.unlink()
-            except OSError:
-                pass
+                tmp.write_text(json.dumps(record, sort_keys=True))
+                os.replace(str(tmp), str(path))
+            except OSError:  # stats are best-effort; serving must not care
+                try:
+                    tmp.unlink()
+                except OSError:
+                    pass
+
+    def _publish_loop(self) -> None:
+        """The publisher thread: take stats publication off the request path.
+
+        Every :data:`STATS_PUBLISH_INTERVAL` seconds it publishes if a
+        request finished since the last publication.  A byte on the wake
+        channel (a sibling's scrape) publishes at once, dirty or not,
+        because the scraper waits for a record newer than its start.
+        """
+        while not self._publisher_stop:
+            readable, _, _ = select.select(
+                [self._wake_r], [], [], STATS_PUBLISH_INTERVAL)
+            if readable:
+                _drain(self._wake_r)
+            if self._publisher_stop:
+                return
+            if readable or self._stats_dirty:
+                self.publish_stats()
+
+    def _open_wake_channel(self) -> Tuple[int, int]:
+        """This worker's wake channel as ``(read fd, write fd)``.
+
+        A FIFO named after the worker in the stats directory, held open
+        read-write by this process alone: siblings write a byte to ask for
+        a fresh snapshot, and once the worker is gone a sibling's
+        non-blocking open fails with ``ENXIO`` (no reader), so a dead
+        worker is never waited for.  Where no FIFO can be made a private
+        pipe still wakes the publisher for shutdown.
+        """
+        path = Path(self.stats_dir) / f"{self.worker_label}{_WAKE_SUFFIX}"
+        try:
+            try:
+                os.mkfifo(path)
+            except FileExistsError:
+                pass  # a predecessor's (a restarted worker slot's) channel
+            fd = os.open(path, os.O_RDWR | os.O_NONBLOCK | os.O_CLOEXEC)
+        except OSError:
+            return _nonblocking_pipe()
+        if not stat.S_ISFIFO(os.fstat(fd).st_mode):
+            os.close(fd)
+            return _nonblocking_pipe()
+        return fd, fd
+
+    def _wake_siblings(self) -> Set[str]:
+        """Ask every live sibling to publish now; returns the labels asked."""
+        woken: Set[str] = set()
+        try:
+            channels = sorted(Path(self.stats_dir).glob(f"worker-*{_WAKE_SUFFIX}"))
+        except OSError:  # pragma: no cover - stats dir vanished
+            channels = []
+        for channel in channels:
+            label = channel.name[: -len(_WAKE_SUFFIX)]
+            if label == self.worker_label:
+                continue
+            try:
+                fd = os.open(channel, os.O_WRONLY | os.O_NONBLOCK | os.O_CLOEXEC)
+            except OSError:  # ENXIO: no process holds it, the worker is dead
+                continue
+            try:
+                _poke(fd)
+            finally:
+                os.close(fd)
+            woken.add(label)
+        return woken
+
+    def _fresh_records(self) -> Dict[str, Dict[str, object]]:
+        """Every worker's record, counting all requests finished before now.
+
+        Publishes this worker's own snapshot, wakes the live siblings and
+        waits — at most :data:`SCRAPE_WAIT_SECONDS` in all — until each
+        woken sibling's record was published after this call began.  A
+        sibling that misses the deadline is served as last published.
+        """
+        started = time.time()
+        self.publish_stats()
+        waiting = self._wake_siblings()
+        deadline = time.monotonic() + SCRAPE_WAIT_SECONDS
+        while True:
+            records = self._read_worker_records()
+            waiting = {
+                label for label in waiting
+                if float(records.get(label, {}).get("updated") or 0) < started
+            }
+            if not waiting or time.monotonic() >= deadline:
+                return records
+            time.sleep(0.002)
 
     def _read_worker_records(self) -> Dict[str, Dict[str, object]]:
         """Every sibling worker's published snapshot, keyed by label."""
@@ -606,14 +783,37 @@ class ReproServer(ThreadingHTTPServer):
         """The extra ``/stats`` payload: per-worker views plus aggregate."""
         if self.stats_dir is None:
             return {}
-        self.publish_stats()  # this worker's own view must be fresh
-        workers = self._read_worker_records()
+        workers = self._fresh_records()
         return {
             "workers": workers,
             "aggregate": SessionStats.aggregate_json(
                 [record["cache"] for record in workers.values()]
             ),
         }
+
+
+def _poke(fd: int) -> None:
+    """Write one wake-up byte; a full channel already has one pending."""
+    try:
+        os.write(fd, b"\0")
+    except BlockingIOError:
+        pass
+
+
+def _drain(fd: int) -> None:
+    """Read every pending wake-up byte off a non-blocking channel."""
+    try:
+        while os.read(fd, 512):
+            pass
+    except BlockingIOError:
+        pass
+
+
+def _nonblocking_pipe() -> Tuple[int, int]:
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(read_fd, False)
+    os.set_blocking(write_fd, False)
+    return read_fd, write_fd
 
 
 def make_server(
@@ -696,8 +896,10 @@ def _answer_while_preloading(
     ``/health`` with ``ready: false``, 503 for anything else, every response
     ``Connection: close`` — until the workers fork and take over.  The
     listening socket is put in timeout mode for the accept loop; the caller
-    restores blocking mode (``settimeout(None)``) before forking, since the
-    underlying O_NONBLOCK flag would ride the fork into every worker.
+    puts it back in plain non-blocking mode before forking.  O_NONBLOCK
+    rides the fork into every worker, as it should: workers share the one
+    listening socket, and a worker that loses an ``accept()`` race must get
+    ``BlockingIOError`` rather than block (see :class:`ReproServer`).
     """
 
     def _respond(conn: socket.socket) -> None:
@@ -881,7 +1083,7 @@ def _serve_prefork(
         finally:
             gate_stop.set()
             gate.join()
-            listening.settimeout(None)  # O_NONBLOCK must not ride the fork
+            listening.setblocking(False)  # workers accept non-blocking
 
     def spawn(index: int) -> int:
         pid = os.fork()

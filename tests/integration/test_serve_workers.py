@@ -12,7 +12,9 @@ stage builds on the previous one's state.
 import json
 import os
 import re
+import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -20,6 +22,7 @@ import time
 import urllib.request
 
 import repro
+from repro.api.service import WORKER_MAX_INFLIGHT, make_server
 
 #: src/ directory for subprocess PYTHONPATH (tests may run from anywhere).
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -216,3 +219,46 @@ def test_prefork_preload_gates_health_until_ready(tmp_path):
         except subprocess.TimeoutExpired:
             process.kill()
             process.communicate(timeout=30)
+
+
+def test_worker_accept_never_blocks_on_an_empty_backlog(tmp_path):
+    # Pre-fork workers share one listening socket, so a worker woken for a
+    # connection a sibling already took finds an empty backlog.  Its
+    # accept() must fail fast instead of blocking: a blocked worker only
+    # wakes for the next connection, and after a shutdown signal PEP 475
+    # retries the accept, so it sat out the supervisor's SIGKILL grace.
+    listening = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listening.bind(("127.0.0.1", 0))
+    listening.listen(8)
+    server = make_server(
+        listening_socket=listening, worker_label="worker-0",
+        stats_dir=str(tmp_path), max_inflight=WORKER_MAX_INFLIGHT)
+    try:
+        outcome = []
+
+        def accept():
+            try:
+                outcome.append(server.get_request())
+            except OSError as exc:
+                outcome.append(exc)
+
+        attempt = threading.Thread(target=accept, daemon=True)
+        attempt.start()
+        attempt.join(timeout=1.0)
+        assert not attempt.is_alive(), "get_request blocked on an empty backlog"
+        assert isinstance(outcome[0], BlockingIOError)
+
+        # A pending connection is still accepted, as a blocking socket.
+        client = socket.create_connection(listening.getsockname())
+        try:
+            select.select([listening], [], [], 5.0)
+            request, _ = server.get_request()
+            try:
+                assert request.gettimeout() is None
+                assert os.get_blocking(request.fileno())
+            finally:
+                server.shutdown_request(request)
+        finally:
+            client.close()
+    finally:
+        server.server_close()

@@ -4,16 +4,23 @@ The server runs in-process on an ephemeral port; requests go through
 ``urllib`` exactly as the CI service-smoke job issues them.
 """
 
+import collections
+import http.client
 import json
+import os
+import re
 import socket
+import statistics
 import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.api import SCHEMA_VERSION, result_from_json
+from repro.api import service
 from repro.api.service import MAX_BODY_BYTES, make_server
 
 SCENARIO = {"exchange": "floodset", "num_agents": 3, "max_faulty": 1}
@@ -281,7 +288,9 @@ class _RawConnection:
             assert chunk, "connection closed mid-body"
             self.buffer += chunk
         body, self.buffer = self.buffer[:length], self.buffer[length:]
-        return status, headers, json.loads(body) if body else None
+        if headers.get("content-type", "").startswith("application/json"):
+            body = json.loads(body) if body else None
+        return status, headers, body
 
     def assert_closed(self):
         """The server must hang up: the next read sees EOF (or a reset)."""
@@ -417,6 +426,234 @@ class TestConnectionFraming:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+class TestOneWritePerResponse:
+    """Keep-alive latency: a response must not wait out a delayed ACK.
+
+    With the headers and the body on separate writes, Nagle's algorithm
+    holds the body back until the client acknowledges the headers, which
+    a delayed-ACK client does ~40 ms later: every keep-alive request paid
+    that stall.
+    """
+
+    def test_warm_keep_alive_checks_are_fast(self, server_url):
+        port = int(server_url.rsplit(":", 1)[1])
+        body = json.dumps({"scenario": SCENARIO}).encode()
+        headers = {"Content-Type": "application/json"}
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request("POST", "/check", body=body, headers=headers)
+            assert conn.getresponse().read()  # warm the session
+            latencies = []
+            for _ in range(50):
+                start = time.perf_counter()
+                conn.request("POST", "/check", body=body, headers=headers)
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.005, latencies
+
+    def test_each_response_is_one_socket_write(self, monkeypatch):
+        server = make_server(port=0)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{port}"
+        writes = collections.Counter()  # client port -> server-side writes
+        lock = threading.Lock()
+
+        def counting(original):
+            def write(sock, data, *args):
+                try:
+                    local, peer = sock.getsockname()[1], sock.getpeername()[1]
+                except OSError:
+                    local = peer = None
+                if local == port:  # an accepted (server-side) connection
+                    with lock:
+                        writes[peer] += 1
+                return original(sock, data, *args)
+            return write
+
+        for name in ("send", "sendall"):
+            monkeypatch.setattr(socket.socket, name,
+                                counting(getattr(socket.socket, name)))
+
+        def exchange(*args, **kwargs):
+            conn = _RawConnection(url, timeout=30)
+            try:
+                conn.request(*args, **kwargs)
+                response = conn.read_response()
+                with lock:
+                    return response, writes[conn.sock.getsockname()[1]]
+            finally:
+                conn.close()
+
+        try:
+            check = json.dumps({"scenario": SCENARIO}).encode()
+            (status, headers, body), count = exchange("/check", check)
+            assert status == 200 and body["ok"] is True
+            assert count == 1
+            (status, headers, body), count = exchange("/check", content_length=-5)
+            assert status == 400 and headers.get("connection") == "close"
+            assert count == 1
+            (status, headers, body), count = exchange("/nowhere", method="GET")
+            assert status == 404
+            assert count == 1
+            (status, headers, body), count = exchange("/metrics", method="GET")
+            assert status == 200 and headers["content-type"].startswith("text/plain")
+            assert b"repro_http_requests_total" in body
+            assert count == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
+def _serve_in_thread(**kwargs):
+    server = make_server(port=0, **kwargs)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread, f"http://127.0.0.1:{server.server_address[1]}"
+
+
+def _stop(server, thread):
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _lookups(record):
+    return record["cache"]["hits"] + record["cache"]["misses"]
+
+
+_CHECK_SERIES = re.compile(
+    r'repro_http_requests_total\{endpoint="/check",method="POST",'
+    r'status="200",worker="(worker-\d+)"\} (\d+)')
+
+
+def _check_counts(url):
+    with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
+        text = response.read().decode()
+    return {worker: int(count) for worker, count in _CHECK_SERIES.findall(text)}
+
+
+class TestStatsPublication:
+    """Worker stats publication: off the request path, fresh on scrape.
+
+    Two in-process servers labelled ``worker-0``/``worker-1`` over one
+    ``stats_dir`` behave like two forked workers of the pre-fork front.
+    """
+
+    def test_scrape_on_one_worker_counts_a_request_just_served_by_another(
+            self, tmp_path, monkeypatch):
+        # No timer publication at all: only the scrape's wake-up can make
+        # worker-1's record count the request.
+        monkeypatch.setattr(service, "STATS_PUBLISH_INTERVAL", 3600.0)
+        pair = [_serve_in_thread(worker_label=f"worker-{index}",
+                                 stats_dir=str(tmp_path))
+                for index in range(2)]
+        (_, _, url0), (_, _, url1) = pair
+        try:
+            _, stats = _get(url0 + "/stats")
+            before = _lookups(stats["workers"]["worker-1"])
+            status, body = _post(url1 + "/check", {"scenario": SCENARIO})
+            assert status == 200 and body["worker"] == "worker-1"
+            _, stats = _get(url0 + "/stats")
+            assert set(stats["workers"]) == {"worker-0", "worker-1"}
+            assert _lookups(stats["workers"]["worker-1"]) > before
+
+            counted = _check_counts(url0).get("worker-1", 0)
+            status, _ = _post(url1 + "/check", {"scenario": SCENARIO})
+            assert status == 200
+            assert _check_counts(url0)["worker-1"] == counted + 1
+        finally:
+            for server, thread, _ in pair:
+                _stop(server, thread)
+
+    def test_a_dead_or_stuck_sibling_does_not_hold_a_scrape(
+            self, tmp_path, monkeypatch):
+        stale = {"worker": "worker-9", "pid": 0, "updated": 0.0,
+                 "cache": {"hits": 0, "misses": 0}, "metrics": {}}
+        (tmp_path / "worker-9.json").write_text(json.dumps(stale))
+        channel = tmp_path / "worker-9.wake"
+        os.mkfifo(channel)  # left behind by a dead worker: nobody holds it
+        server, thread, url = _serve_in_thread(
+            worker_label="worker-0", stats_dir=str(tmp_path))
+        try:
+            # Dead: the wake-up open fails (no reader), so nothing waits.
+            monkeypatch.setattr(service, "SCRAPE_WAIT_SECONDS", 30.0)
+            start = time.monotonic()
+            _, stats = _get(url + "/stats")
+            assert time.monotonic() - start < 5.0
+            assert stats["workers"]["worker-9"]["updated"] == 0.0
+
+            # Alive but never publishing: served as last published once
+            # the bounded wait runs out.
+            monkeypatch.setattr(service, "SCRAPE_WAIT_SECONDS", 0.5)
+            held = os.open(channel, os.O_RDWR | os.O_NONBLOCK)
+            try:
+                start = time.monotonic()
+                _, stats = _get(url + "/stats")
+                elapsed = time.monotonic() - start
+            finally:
+                os.close(held)
+            assert 0.5 <= elapsed < 5.0
+            assert stats["workers"]["worker-9"]["updated"] == 0.0
+        finally:
+            _stop(server, thread)
+
+    def test_publication_is_not_per_request(self, tmp_path, monkeypatch):
+        calls = []
+        original = service.ReproServer.publish_stats
+
+        def publish_stats(self):
+            calls.append(time.monotonic())
+            return original(self)
+
+        monkeypatch.setattr(service.ReproServer, "publish_stats", publish_stats)
+        server, thread, url = _serve_in_thread(
+            worker_label="worker-0", stats_dir=str(tmp_path))
+        port = server.server_address[1]
+        body = json.dumps({"scenario": SCENARIO}).encode()
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            for _ in range(200):
+                conn.request("POST", "/check", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            assert len(calls) < 20, len(calls)
+            # The publisher thread still lands the counters on its timer.
+            record_path = tmp_path / "worker-0.json"
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                if record_path.exists() and _lookups(
+                        json.loads(record_path.read_text())) >= 200:
+                    break
+                time.sleep(0.05)
+            assert _lookups(json.loads(record_path.read_text())) >= 200
+        finally:
+            conn.close()
+            _stop(server, thread)
+
+    def test_server_close_publishes_the_last_requests(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(service, "STATS_PUBLISH_INTERVAL", 3600.0)
+        server, thread, url = _serve_in_thread(
+            worker_label="worker-0", stats_dir=str(tmp_path))
+        try:
+            status, _ = _post(url + "/check", {"scenario": SCENARIO})
+            assert status == 200
+            assert not (tmp_path / "worker-0.json").exists()
+        finally:
+            _stop(server, thread)
+        record = json.loads((tmp_path / "worker-0.json").read_text())
+        assert _lookups(record) >= 1
 
 
 class TestConcurrency:
